@@ -10,6 +10,8 @@
 //   - the parallel RPC round trip is slower per op than the serial one
 //     (the lock-free pending-table scaling guarantee), or
 //   - the client's cached-lock hit path allocates, or
+//   - collecting a dirty 1 MiB stripe allocates more than 1.25 bytes
+//     per collected byte (the page cache's copy-once gather), or
 //   - four capacity-capped partitioned lock servers fail to carry the
 //     grant workload at least 2x faster per op than one server, or
 //   - the ping-pong handoff benchmark spends more than ~1.2 server RPCs
@@ -169,6 +171,7 @@ func main() {
 		"LockGrantScale1", "LockGrantScale2", "LockGrantScale4", "LockGrantScale8",
 		"ServerPingPong", "HandoffPingPong",
 		"ReaderFanServer", "ReaderFanDelegated",
+		"PagecacheCollectDirty",
 	}
 	// Each benchmark runs `rounds` times and the minimum ns/op is kept:
 	// the min is the run least disturbed by scheduler and VM noise, so
@@ -344,6 +347,25 @@ func main() {
 		failed = true
 	} else {
 		fmt.Printf("  %-24s %d allocs/op (required 0)\n", "cached-hit allocs", r.AllocsPerOp)
+	}
+
+	// Copy-once gather: collecting a dirty stripe allocates each
+	// collected byte once, in its run's buffer, plus the rewrite's small
+	// extent-list bookkeeping. Copying page by page and re-gluing the
+	// pieces allocated about 6 bytes per collected byte. Bytes are
+	// hardware-independent, so the bound is absolute.
+	const maxGatherBytes = 1.25
+	if r, ok := fresh["PagecacheCollectDirty"]; !ok {
+		fmt.Fprintln(os.Stderr, "FAIL: gather allocs: missing fresh result for PagecacheCollectDirty")
+		failed = true
+	} else if collected := r.Extra["collected_B/op"]; collected <= 0 {
+		fmt.Fprintln(os.Stderr, "FAIL: PagecacheCollectDirty did not report collected_B/op")
+		failed = true
+	} else if got := float64(r.BytesPerOp) / collected; got > maxGatherBytes {
+		fmt.Fprintf(os.Stderr, "FAIL: PagecacheCollectDirty allocates %.2f B per collected byte, want <= %.2f\n", got, maxGatherBytes)
+		failed = true
+	} else {
+		fmt.Printf("  %-24s %.3f B/collected B (ceiling %.2f)\n", "gather allocs", got, maxGatherBytes)
 	}
 
 	// Virtual-time wall budget: the discrete-event mode exists so that

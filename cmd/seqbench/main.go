@@ -109,6 +109,7 @@ func suite() []experiment {
 		{"ablation", "SeqDLM mechanisms disabled one at a time", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
 			cfg := ccpfs.DefaultAblation()
 			cfg.Hardware = hw
+			cfg.Virtual = virtualOpts()
 			return ccpfs.RunAblation(cfg)
 		}},
 		{"pingpong", "producer-consumer exchanges: server revoke path vs handoff", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
@@ -163,7 +164,7 @@ var readersFlag = flag.String("readers", "",
 	"comma-separated fan-out widths for the readfan experiment (e.g. 64,256,1024; default 2,4,8)")
 
 var virtualFlag = flag.Bool("virtual", false,
-	"run supporting experiments (pingpong, readfan, partition) in deterministic discrete-event mode: simulated delays advance virtual time instead of sleeping, so large client counts finish in seconds and the same -seed reproduces the numbers exactly")
+	"run supporting experiments (ablation, pingpong, readfan, partition) in deterministic discrete-event mode: simulated delays advance virtual time instead of sleeping, so large client counts finish in seconds and the same -seed reproduces the numbers exactly")
 
 var seedFlag = flag.Int64("seed", 1, "virtual-mode random seed (with -virtual)")
 

@@ -90,11 +90,11 @@ func BenchHardware() Hardware {
 }
 
 // VirtualOpts selects discrete-event mode for the experiments that
-// support it (pingpong, readfan, partition). Each measured point then
-// runs inside its own seeded virtual clock: simulated delays advance
-// logical time instead of sleeping, so hundreds of clients finish in
-// seconds of wall time, and the same seed reproduces the run — timings,
-// SNs, stats — byte for byte.
+// support it (ablation, pingpong, readfan, partition). Each measured
+// point then runs inside its own seeded virtual clock: simulated delays
+// advance logical time instead of sleeping, so hundreds of clients
+// finish in seconds of wall time, and the same seed reproduces the
+// run — timings, SNs, stats — byte for byte.
 type VirtualOpts struct {
 	Enabled bool
 	Seed    int64
@@ -911,6 +911,8 @@ type AblationConfig struct {
 	Clients         int
 	WriteSize       int64
 	WritesPerClient int
+	// Virtual runs each variant in discrete-event mode.
+	Virtual VirtualOpts
 }
 
 // DefaultAblation returns the scaled-down configuration.
@@ -939,20 +941,25 @@ func RunAblation(cfg AblationConfig) (*Experiment, error) {
 		{"DLM-basic (floor)", dlm.Basic()},
 	}
 	for _, v := range variants {
-		c, err := newCluster(v.pol, cfg.Hardware, 1)
-		if err != nil {
-			return nil, err
-		}
-		res, err := workload.RunIOR(c, workload.IORConfig{
-			Pattern:         workload.N1Strided,
-			Clients:         cfg.Clients,
-			WriteSize:       cfg.WriteSize,
-			WritesPerClient: cfg.WritesPerClient,
-			StripeSize:      1 << 20,
-			StripeCount:     1,
+		var res workload.Result
+		var st dlm.Snapshot
+		err := runPoint(cfg.Virtual, cfg.Hardware, func(hw Hardware) error {
+			c, err := newCluster(v.pol, hw, 1)
+			if err != nil {
+				return err
+			}
+			res, err = workload.RunIOR(c, workload.IORConfig{
+				Pattern:         workload.N1Strided,
+				Clients:         cfg.Clients,
+				WriteSize:       cfg.WriteSize,
+				WritesPerClient: cfg.WritesPerClient,
+				StripeSize:      1 << 20,
+				StripeCount:     1,
+			})
+			st = c.DLMStats()
+			c.Close()
+			return err
 		})
-		st := c.DLMStats()
-		c.Close()
 		if err != nil {
 			return nil, err
 		}

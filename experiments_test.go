@@ -357,11 +357,13 @@ func TestPublicAPISmoke(t *testing.T) {
 	}
 }
 
+// TestShapeAblation runs on the virtual clock, so its ratios are exact
+// for the seed instead of wall-clock samples.
 func TestShapeAblation(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultAblation()
 	cfg.Hardware = quickHW()
 	cfg.WritesPerClient = 12
+	cfg.Virtual = VirtualOpts{Enabled: true, Seed: 1}
 	exp, err := RunAblation(cfg)
 	if err != nil {
 		t.Fatal(err)

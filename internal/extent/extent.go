@@ -83,22 +83,6 @@ func (e Extent) Union(other Extent) Extent {
 	return Extent{Start: min(e.Start, other.Start), End: max(e.End, other.End)}
 }
 
-// Sub returns the parts of e not covered by other: up to two extents
-// (left and right remainders). Empty remainders are omitted.
-func (e Extent) Sub(other Extent) []Extent {
-	if !e.Overlaps(other) {
-		return []Extent{e}
-	}
-	var out []Extent
-	if e.Start < other.Start {
-		out = append(out, Extent{Start: e.Start, End: other.Start})
-	}
-	if other.End < e.End {
-		out = append(out, Extent{Start: other.End, End: e.End})
-	}
-	return out
-}
-
 func (e Extent) String() string {
 	if e.End == Inf {
 		return fmt.Sprintf("[%d, EOF)", e.Start)

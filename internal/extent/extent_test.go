@@ -64,31 +64,6 @@ func TestExtentIntersect(t *testing.T) {
 	}
 }
 
-func TestExtentSub(t *testing.T) {
-	cases := []struct {
-		e, cut Extent
-		want   []Extent
-	}{
-		{New(0, 10), New(3, 7), []Extent{New(0, 3), New(7, 10)}},
-		{New(0, 10), New(0, 10), nil},
-		{New(0, 10), New(20, 30), []Extent{New(0, 10)}},
-		{New(0, 10), New(0, 5), []Extent{New(5, 10)}},
-		{New(0, 10), New(5, 10), []Extent{New(0, 5)}},
-		{New(5, 10), New(0, 100), nil},
-	}
-	for _, c := range cases {
-		got := c.e.Sub(c.cut)
-		if len(got) != len(c.want) {
-			t.Fatalf("%v.Sub(%v) = %v, want %v", c.e, c.cut, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("%v.Sub(%v) = %v, want %v", c.e, c.cut, got, c.want)
-			}
-		}
-	}
-}
-
 func TestExtentInfLen(t *testing.T) {
 	e := Extent{Start: 100, End: Inf}
 	if e.Len() <= 0 {
@@ -186,6 +161,95 @@ func TestListRemove(t *testing.T) {
 	l.Remove(New(30, 50))
 	if l.Covered(New(30, 50)) || !l.Covered(New(0, 30)) || !l.Covered(New(50, 100)) {
 		t.Fatal("Remove left wrong coverage")
+	}
+}
+
+// TestListRemoveLE checks RemoveLE's trims and splits against a
+// byte-level model, and that it rewrites the list in place: only a
+// split, which grows the list, may allocate.
+func TestListRemoveLE(t *testing.T) {
+	cases := []struct {
+		e, cut Extent
+		want   []Extent
+	}{
+		{New(0, 10), New(3, 7), []Extent{New(0, 3), New(7, 10)}},
+		{New(0, 10), New(0, 10), nil},
+		{New(0, 10), New(20, 30), []Extent{New(0, 10)}},
+		{New(0, 10), New(0, 5), []Extent{New(5, 10)}},
+		{New(0, 10), New(5, 10), []Extent{New(0, 5)}},
+		{New(5, 10), New(0, 100), nil},
+	}
+	for _, c := range cases {
+		var l List
+		l.Insert(c.e, 1)
+		l.RemoveLE(c.cut, 0)
+		if got := l.Entries(); len(got) != 1 || got[0] != (SNExtent{c.e, 1}) {
+			t.Fatalf("RemoveLE(%v, 0) of %v sn 1 = %v, want it kept", c.cut, c.e, got)
+		}
+		l.RemoveLE(c.cut, 1)
+		got := l.Entries()
+		if len(got) != len(c.want) {
+			t.Fatalf("%v minus %v = %v, want %v", c.e, c.cut, got, c.want)
+		}
+		for i := range got {
+			if got[i] != (SNExtent{c.want[i], 1}) {
+				t.Fatalf("%v minus %v = %v, want %v", c.e, c.cut, got, c.want)
+			}
+		}
+	}
+
+	r := rand.New(rand.NewSource(5))
+	const space = 64
+	for trial := 0; trial < 500; trial++ {
+		var l List
+		var model [space]SN // 0 = absent
+		for i := 0; i < 6; i++ {
+			s := r.Int63n(space)
+			e := New(s, s+r.Int63n(space-s)+1)
+			sn := SN(r.Intn(4) + 1)
+			l.Insert(e, sn)
+			for p := e.Start; p < e.End; p++ {
+				if sn >= model[p] {
+					model[p] = sn
+				}
+			}
+		}
+		s := r.Int63n(space)
+		cut := New(s, s+r.Int63n(space-s)+1)
+		max := SN(r.Intn(5))
+		l.RemoveLE(cut, max)
+		for p := cut.Start; p < cut.End; p++ {
+			if model[p] <= max {
+				model[p] = 0
+			}
+		}
+		var got [space]SN
+		prevEnd := int64(-1)
+		for _, ent := range l.Entries() {
+			if ent.Empty() || ent.Start < prevEnd {
+				t.Fatalf("trial %d: entries %v not sorted, disjoint and non-empty", trial, l.Entries())
+			}
+			prevEnd = ent.End
+			for p := ent.Start; p < ent.End; p++ {
+				got[p] = ent.SN
+			}
+		}
+		if got != model {
+			t.Fatalf("trial %d: after RemoveLE(%v, %d): %v, model %v", trial, cut, max, got, model)
+		}
+	}
+
+	var l List
+	for i := int64(0); i < 4; i++ {
+		l.Insert(New(i*10, i*10+5), SN(i+1))
+	}
+	base := append([]SNExtent(nil), l.ents...)
+	allocs := testing.AllocsPerRun(20, func() {
+		l.ents = append(l.ents[:0], base...)
+		l.RemoveLE(New(3, 22), 4) // trims two entries, drops one
+	})
+	if allocs != 0 {
+		t.Fatalf("RemoveLE without a split allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,9 @@
 package extent
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // List is a small, sorted, non-overlapping sequence of SN-tagged extents.
 // It is the structure each client-cache page keeps to track which byte
@@ -172,39 +175,40 @@ func (l *List) Overlapping(e Extent) []SNExtent {
 
 // Remove deletes coverage of e from the list, splitting entries that
 // straddle its boundaries.
-func (l *List) Remove(e Extent) {
-	if e.Empty() {
-		return
-	}
-	var out []SNExtent
-	for _, ent := range l.ents {
-		if !ent.Overlaps(e) {
-			out = append(out, ent)
-			continue
-		}
-		for _, rem := range ent.Sub(e) {
-			out = append(out, SNExtent{Extent: rem, SN: ent.SN})
-		}
-	}
-	l.ents = out
-}
+func (l *List) Remove(e Extent) { l.RemoveLE(e, ^SN(0)) }
 
 // RemoveLE deletes coverage of e restricted to entries whose SN is at
 // most max, splitting straddlers. Entries with newer SNs keep their
 // data — the rule that makes canceling one lock safe while a newer lock
 // of the same client still protects overlapping bytes.
+//
+// The list is rewritten in place, so slices previously returned by
+// Entries must not be used afterwards.
 func (l *List) RemoveLE(e Extent, max SN) {
 	if e.Empty() {
 		return
 	}
-	var out []SNExtent
-	for _, ent := range l.ents {
+	out := l.ents[:0]
+	for i, ent := range l.ents {
 		if !ent.Overlaps(e) || ent.SN > max {
 			out = append(out, ent)
 			continue
 		}
-		for _, rem := range ent.Sub(e) {
-			out = append(out, SNExtent{Extent: rem, SN: ent.SN})
+		left := ent.Start < e.Start
+		right := SNExtent{Extent: Extent{Start: e.End, End: ent.End}, SN: ent.SN}
+		if left && !right.Empty() {
+			// ent strictly contains e, so no other entry overlaps e and
+			// out still equals l.ents[:i]. Splitting ent is the one case
+			// that grows the list, which in-place writes cannot do.
+			l.ents[i].End = e.Start
+			l.ents = slices.Insert(l.ents, i+1, right)
+			return
+		}
+		if left {
+			out = append(out, SNExtent{Extent: Extent{Start: ent.Start, End: e.Start}, SN: ent.SN})
+		}
+		if !right.Empty() {
+			out = append(out, right)
 		}
 	}
 	l.ents = out

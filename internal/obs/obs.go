@@ -99,9 +99,6 @@ func (h *Histogram) Record(v int64) {
 // Observe records a duration in nanoseconds.
 func (h *Histogram) Observe(d time.Duration) { h.Record(d.Nanoseconds()) }
 
-// Since records the elapsed time from t to now, in nanoseconds.
-func (h *Histogram) Since(t time.Time) { h.Record(time.Since(t).Nanoseconds()) }
-
 // Count returns the number of recorded observations (a sum over the
 // bucket array; cheap enough for snapshot paths, not meant per-op).
 func (h *Histogram) Count() int64 {

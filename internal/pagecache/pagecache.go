@@ -7,6 +7,17 @@
 // keeps the cache coherent when early grant lets conflicting writes from
 // the same client overlap in flight.
 //
+// The pool is a per-cache free list of pages. Pages dropped by
+// invalidation (lock release or cancel) and by reclaim go back on it
+// with their old bytes, and writes and fills draw from it before they
+// allocate. Reuse is safe because no page buffer escapes its stripe
+// lock: Read and CollectDirty copy bytes out, and every read of a
+// buffer is bounded by the page's valid list, which starts empty on a
+// recycled page. Every dirty byte is also valid, with an SN no newer
+// than its valid one (Redirty re-dirties only such bytes), so
+// invalidation drops dirty bytes along with their valid ones and a
+// flush never carries a previous owner's bytes either.
+//
 // Concurrency: stripes are sharded (shard.Of) and each stripe carries
 // its own mutex guarding its page map and page contents, so IO on
 // different stripes never contends. The global dirty/cached/page
@@ -18,6 +29,7 @@ package pagecache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -93,6 +105,10 @@ type Cache struct {
 	dirty  atomic.Int64
 	cached atomic.Int64
 	pages  atomic.Int64 // allocated page count, drives pool reclaim
+
+	// free holds pages dropped by invalidate and reclaim; write draws
+	// from it before allocating (see the package comment).
+	free sync.Pool
 
 	// Flow control for the MaxDirty bound: writers reserve their byte
 	// count under flowMu before touching any stripe, and flushes signal
@@ -259,7 +275,7 @@ func (c *Cache) write(sp *stripePages, off int64, data []byte, sn extent.SN, mar
 		}
 		pg := sp.pages[pi]
 		if pg == nil {
-			pg = &page{buf: make([]byte, ps)}
+			pg = c.newPage()
 			sp.pages[pi] = pg
 			c.pages.Add(1)
 		}
@@ -363,43 +379,97 @@ func (c *Cache) Covered(stripe uint64, off, n int64) bool {
 }
 
 // CollectDirty removes and returns the dirty blocks of stripe within rng
-// whose SN is at most maxSN, merged into per-SN contiguous blocks ready
-// for a flush RPC. The data is copied; a concurrent write re-dirties its
-// range and will be flushed again later.
+// whose SN is at most maxSN, as maximal same-SN contiguous runs in
+// ascending order, ready for a flush RPC. The data is copied; a
+// concurrent write re-dirties its range and will be flushed again later.
+//
+// It walks the pages twice under the stripe lock: the first walk sizes
+// the runs, the second copies every byte once into its run's buffer,
+// which is allocated at the run's exact length in between.
 func (c *Cache) CollectDirty(stripe uint64, rng extent.Extent, maxSN extent.SN) []Block {
 	sp := c.lookup(stripe)
 	if sp == nil {
 		return nil
 	}
-	sp.mu.Lock()
 	ps := c.cfg.PageSize
+	sp.mu.Lock()
 	var blocks []Block
-	for pi, pg := range sp.pages {
-		pageAbs := extent.Extent{Start: pi * ps, End: (pi + 1) * ps}
-		iv, ok := pageAbs.Intersect(rng)
-		if !ok {
-			continue
-		}
-		local := extent.Extent{Start: iv.Start - pi*ps, End: iv.End - pi*ps}
-		for _, e := range pg.dirty.Overlapping(local) {
-			if e.SN > maxSN {
+	c.pagesIn(sp, rng, func(pi int64, pg *page, local extent.Extent) {
+		for _, e := range pg.dirty.Entries() {
+			iv, ok := e.Intersect(local)
+			if !ok || e.SN > maxSN {
 				continue
 			}
-			data := make([]byte, e.Len())
-			copy(data, pg.buf[e.Start:e.End])
-			blocks = append(blocks, Block{
-				Range: extent.Extent{Start: e.Start + pi*ps, End: e.End + pi*ps},
-				SN:    e.SN,
-				Data:  data,
-			})
-			pg.dirty.Remove(e.Extent)
+			abs := extent.Extent{Start: iv.Start + pi*ps, End: iv.End + pi*ps}
+			if n := len(blocks); n > 0 && blocks[n-1].SN == e.SN && blocks[n-1].Range.End == abs.Start {
+				blocks[n-1].Range.End = abs.End
+				continue
+			}
+			blocks = append(blocks, Block{Range: abs, SN: e.SN})
 		}
-		c.refreshPage(pg)
+	})
+	for i := range blocks {
+		blocks[i].Data = make([]byte, blocks[i].Range.Len())
 	}
+	bi := 0
+	c.pagesIn(sp, rng, func(pi int64, pg *page, local extent.Extent) {
+		took := false
+		for _, e := range pg.dirty.Entries() {
+			iv, ok := e.Intersect(local)
+			if !ok || e.SN > maxSN {
+				continue
+			}
+			start := iv.Start + pi*ps
+			for blocks[bi].Range.End <= start {
+				bi++
+			}
+			b := &blocks[bi]
+			copy(b.Data[start-b.Range.Start:], pg.buf[iv.Start:iv.End])
+			took = true
+		}
+		if took {
+			pg.dirty.RemoveLE(local, maxSN)
+			c.refreshPage(pg)
+		}
+	})
 	sp.mu.Unlock()
 	c.signalFlow()
-	mergeBlocks(&blocks)
 	return blocks
+}
+
+// pagesIn calls fn for each of sp's pages that intersects rng, in
+// ascending page order, with the page-relative part of rng. It probes
+// the page map index by index when rng spans fewer pages than the map
+// holds, and sorts the map's matching keys otherwise. The caller holds
+// sp.mu; fn must not add or delete pages.
+func (c *Cache) pagesIn(sp *stripePages, rng extent.Extent, fn func(pi int64, pg *page, local extent.Extent)) {
+	if rng.Empty() {
+		return
+	}
+	ps := c.cfg.PageSize
+	first, last := rng.Start/ps, (rng.End-1)/ps
+	visit := func(pi int64, pg *page) {
+		iv, _ := extent.Extent{Start: pi * ps, End: (pi + 1) * ps}.Intersect(rng)
+		fn(pi, pg, extent.Extent{Start: iv.Start - pi*ps, End: iv.End - pi*ps})
+	}
+	if last-first < int64(len(sp.pages)) {
+		for pi := first; pi <= last; pi++ {
+			if pg := sp.pages[pi]; pg != nil {
+				visit(pi, pg)
+			}
+		}
+		return
+	}
+	idx := make([]int64, 0, len(sp.pages))
+	for pi := range sp.pages {
+		if pi >= first && pi <= last {
+			idx = append(idx, pi)
+		}
+	}
+	slices.Sort(idx)
+	for _, pi := range idx {
+		visit(pi, sp.pages[pi])
+	}
 }
 
 // Redirty reinstates blocks whose flush failed.
@@ -419,7 +489,16 @@ func (c *Cache) Redirty(stripe uint64, blocks []Block) {
 				n = ps - po
 			}
 			if pg := sp.pages[pi]; pg != nil {
-				pg.dirty.Insert(extent.Extent{Start: po, End: po + n}, b.SN)
+				// Re-dirty only bytes still valid at the block's SN or
+				// newer. Others were dropped since the collect (their
+				// page may since have been recycled) or refilled with
+				// older data, so the buffer no longer holds the block.
+				rng := extent.Extent{Start: po, End: po + n}
+				for _, v := range pg.valid.Overlapping(rng) {
+					if v.SN >= b.SN {
+						pg.dirty.Insert(v.Extent, b.SN)
+					}
+				}
 				c.refreshPage(pg)
 			}
 			data = data[n:]
@@ -461,8 +540,7 @@ func (c *Cache) invalidate(stripe uint64, rng extent.Extent, sn extent.SN) {
 		pg.dirty.RemoveLE(local, sn)
 		c.refreshPage(pg)
 		if pg.valid.Len() == 0 {
-			delete(sp.pages, pi)
-			c.pages.Add(-1)
+			c.dropPage(sp, pi, pg)
 		}
 	}
 	sp.mu.Unlock()
@@ -524,11 +602,7 @@ func (c *Cache) reclaim() {
 			if pg.dirty.Len() > 0 {
 				continue
 			}
-			pg.valid.Reset()
-			pg.dirty.Reset()
-			c.refreshPage(pg)
-			delete(sp.pages, pi)
-			if c.pages.Add(-1)*c.cfg.PageSize <= c.cfg.PoolBytes {
+			if c.dropPage(sp, pi, pg)*c.cfg.PageSize <= c.cfg.PoolBytes {
 				done = true
 				break
 			}
@@ -537,33 +611,30 @@ func (c *Cache) reclaim() {
 	})
 }
 
+// newPage returns an empty page, recycled from the free list when one
+// is there.
+func (c *Cache) newPage() *page {
+	if pg, ok := c.free.Get().(*page); ok {
+		return pg
+	}
+	return &page{buf: make([]byte, c.cfg.PageSize)}
+}
+
+// dropPage removes page pi from sp, empties it and puts it on the free
+// list, returning the number of pages left in the cache. The caller
+// holds sp.mu. The buffer keeps its old bytes: the next owner's empty
+// valid list marks all of them as absent.
+func (c *Cache) dropPage(sp *stripePages, pi int64, pg *page) int64 {
+	pg.valid.Reset()
+	pg.dirty.Reset()
+	c.refreshPage(pg)
+	delete(sp.pages, pi)
+	c.free.Put(pg)
+	return c.pages.Add(-1)
+}
+
 // String summarizes the cache for debugging.
 func (c *Cache) String() string {
 	return fmt.Sprintf("pagecache{pages=%d dirty=%dB cached=%dB}",
 		c.pages.Load(), c.dirty.Load(), c.cached.Load())
-}
-
-// mergeBlocks coalesces adjacent same-SN blocks to shrink flush RPCs.
-func mergeBlocks(blocks *[]Block) {
-	bs := *blocks
-	if len(bs) < 2 {
-		return
-	}
-	// Insertion sort by start: block counts per flush are small.
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].Range.Start < bs[j-1].Range.Start; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
-	out := bs[:1]
-	for _, b := range bs[1:] {
-		last := &out[len(out)-1]
-		if last.SN == b.SN && last.Range.End == b.Range.Start {
-			last.Range.End = b.Range.End
-			last.Data = append(last.Data, b.Data...)
-			continue
-		}
-		out = append(out, b)
-	}
-	*blocks = out
 }

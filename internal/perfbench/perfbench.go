@@ -277,6 +277,32 @@ func PagecacheMixedParallel(b *testing.B) {
 	})
 }
 
+// collectStripe is the stripe PagecacheCollectDirty dirties and
+// collects per op.
+const collectStripe = 1 << 20
+
+// PagecacheCollectDirty: dirty a 1 MiB stripe of 4 KiB pages under one
+// SN and collect it for flushing, the client's gather step before every
+// flush RPC. B/op against the collected bytes per op is the copy-once
+// target: each collected byte should be allocated once, in its run's
+// buffer, and the rewrite's extent-list bookkeeping should stay small.
+func PagecacheCollectDirty(b *testing.B) {
+	c := pagecache.New(pagecache.Config{PageSize: blockSize})
+	data := make([]byte, collectStripe)
+	all := extent.New(0, collectStripe)
+	var collected int64
+	b.ReportAllocs()
+	b.SetBytes(collectStripe)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Write(0, 0, data, extent.SN(i+1))
+		for _, blk := range c.CollectDirty(0, all, extent.SN(i+1)) {
+			collected += int64(len(blk.Data))
+		}
+	}
+	b.ReportMetric(float64(collected)/float64(b.N), "collected_B/op")
+}
+
 // directConn adapts an in-process dlm.Server to dlm.ServerConn.
 type directConn struct{ srv *dlm.Server }
 
@@ -358,6 +384,7 @@ func All() []NamedBench {
 		{"DataserverFlushParallel", DataserverFlushParallel},
 		{"DataserverFlushCleanupParallel", DataserverFlushCleanupParallel},
 		{"PagecacheMixedParallel", PagecacheMixedParallel},
+		{"PagecacheCollectDirty", PagecacheCollectDirty},
 		{"LockClientCachedHitParallel", LockClientCachedHitParallel},
 		{"DLMGrantReleaseParallel", DLMGrantReleaseParallel},
 		{"RpcRoundTrip", RpcRoundTrip},
@@ -389,6 +416,8 @@ type Result struct {
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// BytesPerOp is the heap bytes allocated per op (B/op).
+	BytesPerOp int64 `json:"bytes_per_op,omitempty"`
 	// Extra carries custom b.ReportMetric values (e.g. the ping-pong
 	// benchmarks' server_rpcs/exchange). Unlike ns/op these are
 	// protocol counts, hardware-independent and safe to gate on
@@ -443,6 +472,7 @@ func Measure(nb NamedBench) Result {
 		NsPerOp:     nsPerOp,
 		OpsPerSec:   1e9 / nsPerOp,
 		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
 	}
 	if r.Bytes > 0 {
 		res.MBPerSec = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()

@@ -12,6 +12,7 @@ func BenchmarkExtcacheMaxSNParallel(b *testing.B)          { ExtcacheMaxSNParall
 func BenchmarkDataserverFlushParallel(b *testing.B)        { DataserverFlushParallel(b) }
 func BenchmarkDataserverFlushCleanupParallel(b *testing.B) { DataserverFlushCleanupParallel(b) }
 func BenchmarkPagecacheMixedParallel(b *testing.B)         { PagecacheMixedParallel(b) }
+func BenchmarkPagecacheCollectDirty(b *testing.B)          { PagecacheCollectDirty(b) }
 func BenchmarkLockClientCachedHitParallel(b *testing.B)    { LockClientCachedHitParallel(b) }
 func BenchmarkDLMGrantReleaseParallel(b *testing.B)        { DLMGrantReleaseParallel(b) }
 func BenchmarkRpcRoundTrip(b *testing.B)                   { RpcRoundTrip(b) }

@@ -380,7 +380,7 @@ func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
 	encs := make([]*wire.Encoder, len(calls))
 	frames := make([][]byte, len(calls))
 	for i := range calls {
-		enc := wire.GetEncoder(headerLen + 64)
+		enc := wire.GetEncoder(frameSize(calls[i].Req))
 		enc.U8(kindRequest)
 		enc.U64(ids[i])
 		enc.U8(uint8(calls[i].Method))
@@ -506,7 +506,7 @@ func (ep *Endpoint) forget(id uint64) {
 func (ep *Endpoint) send(ctx context.Context, kind byte, id uint64, method wire.Method, status byte, m wire.Msg) error {
 	// The encoder is recycled as soon as Send returns: transports must
 	// not retain the frame afterwards (see the transport.Conn contract).
-	enc := wire.GetEncoder(headerLen + 64)
+	enc := wire.GetEncoder(frameSize(m))
 	enc.U8(kind)
 	enc.U64(id)
 	enc.U8(uint8(method))
@@ -524,6 +524,23 @@ func (ep *Endpoint) send(ctx context.Context, kind byte, id uint64, method wire.
 		m.BytesOut.Add(n)
 	}
 	return err
+}
+
+// sizedMsg is a message that reports its exact encoded length: the
+// block-carrying ones, whose frames are dominated by payload.
+type sizedMsg interface{ EncodedSize() int }
+
+// frameSize returns the capacity to request for a frame carrying m: the
+// exact size when m reports one that a pooled class serves
+// (wire.MaxPresized), else room for a small control message, which a
+// large payload grows by append.
+func frameSize(m wire.Msg) int {
+	if s, ok := m.(sizedMsg); ok {
+		if n := headerLen + s.EncodedSize(); n <= wire.MaxPresized {
+			return n
+		}
+	}
+	return headerLen + 64
 }
 
 func (ep *Endpoint) sendErr(ctx context.Context, id uint64, method wire.Method, err error) error {

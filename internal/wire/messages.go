@@ -654,6 +654,19 @@ type Block struct {
 	Data  []byte
 }
 
+// blockHeaderLen is a Block's encoded size without its data: range,
+// SN and data length.
+const blockHeaderLen = 16 + 8 + 4
+
+// blocksSize returns the encoded size of a block count and blocks.
+func blocksSize(bs []Block) int {
+	n := 4
+	for i := range bs {
+		n += blockHeaderLen + len(bs[i].Data)
+	}
+	return n
+}
+
 // FlushRequest carries dirty client-cache blocks to a data server. Blocks
 // from multiple locks may be batched; each block carries the SN of the
 // lock it was written under (§IV-A).
@@ -675,11 +688,15 @@ func (m *FlushRequest) Encode(e *Encoder) {
 	}
 }
 
+// EncodedSize returns the length of m's encoding, so a sender can draw
+// a frame of the right size class instead of growing one by append.
+func (m *FlushRequest) EncodedSize() int { return 8 + 4 + blocksSize(m.Blocks) }
+
 // Decode implements Msg.
 func (m *FlushRequest) Decode(d *Decoder) {
 	m.Resource = d.U64()
 	m.Client = d.U32()
-	n := d.Len32(28)
+	n := d.Len32(blockHeaderLen)
 	if n > 0 {
 		m.Blocks = make([]Block, n)
 		for i := range m.Blocks {
@@ -724,9 +741,12 @@ func (m *ReadReply) Encode(e *Encoder) {
 	}
 }
 
+// EncodedSize returns the length of m's encoding (see FlushRequest).
+func (m *ReadReply) EncodedSize() int { return blocksSize(m.Blocks) }
+
 // Decode implements Msg.
 func (m *ReadReply) Decode(d *Decoder) {
-	n := d.Len32(28)
+	n := d.Len32(blockHeaderLen)
 	if n > 0 {
 		m.Blocks = make([]Block, n)
 		for i := range m.Blocks {

@@ -374,3 +374,34 @@ func BenchmarkUnmarshalFlush64K(b *testing.B) {
 		}
 	}
 }
+
+func TestEncodedSizeMatchesMarshal(t *testing.T) {
+	blocks := func(sizes ...int) []Block {
+		var out []Block
+		for i, n := range sizes {
+			out = append(out, Block{Range: extent.Span(int64(i)*1000, int64(n)), SN: uint64(i + 1), Data: make([]byte, n)})
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		msg  interface {
+			Msg
+			EncodedSize() int
+		}
+	}{
+		{"flush/none", &FlushRequest{Resource: 3, Client: 4}},
+		{"flush/one", &FlushRequest{Resource: 3, Client: 4, Blocks: blocks(47008)}},
+		{"flush/many", &FlushRequest{Blocks: blocks(1, 0, 4096, 65536, 7)}},
+		{"flush/empty-data", &FlushRequest{Blocks: blocks(0)}},
+		{"read/none", &ReadReply{}},
+		{"read/one", &ReadReply{Blocks: blocks(65536)}},
+		{"read/many", &ReadReply{Blocks: blocks(3, 9, 0, 100)}},
+		{"read/empty-data", &ReadReply{Blocks: blocks(0, 0)}},
+	}
+	for _, tc := range cases {
+		if got, want := tc.msg.EncodedSize(), len(Marshal(tc.msg)); got != want {
+			t.Errorf("%s: EncodedSize = %d, Marshal = %d bytes", tc.name, got, want)
+		}
+	}
+}
